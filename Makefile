@@ -28,7 +28,7 @@ BASE ?= 9
 # Budget for the fuzz-smoke target (per fuzz target).
 FUZZTIME ?= 30s
 
-.PHONY: all build test lint lint-ext lint-selftest docs-check bench bench-json bench-gate profile smoke scenario-smoke event-smoke fidelity-smoke serve-smoke chaos-smoke restore-smoke fuzz-smoke kv-smoke
+.PHONY: all build test perfbench-test lint lint-ext lint-selftest docs-check bench bench-json bench-gate profile smoke scenario-smoke event-smoke fidelity-smoke serve-smoke chaos-smoke restore-smoke fuzz-smoke kv-smoke
 
 all: build lint docs-check test
 
@@ -39,6 +39,14 @@ build:
 # per-package budget under the race detector; give the suite headroom.
 test:
 	$(GO) test -race -timeout 30m ./...
+
+# The repository benchmark's own module (perfbench/, built against this
+# checkout through its replace directive): vet plus its tests, including
+# TestDigests, which checks that each batch workload's simulated output
+# digest depends on the seed alone, across repeats, StepJobs and tracing
+# (~90 s on 2 cores).
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The blocking lint gate: vet, gofmt, and the project's own dynamolint
 # analyzers (internal/lint — determinism, snapshot exhaustiveness,

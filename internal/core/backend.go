@@ -87,11 +87,6 @@ func (b *fluidBackend) Advance(in *Instance, a *assign, now simclock.Time) float
 
 	// Steady state for this tick.
 	st := c.instanceSteady(in)
-	if in.rate > 0.01 && st.Rho > 0.01 {
-		in.capEst = in.rate / st.Rho * maxCapFraction
-	} else {
-		in.capEst = 0 // fall back to profile capacity
-	}
 
 	// Backlog dynamics: demand beyond capacity queues.
 	cap := in.capacity(s)
@@ -655,7 +650,6 @@ func (b *eventBackend) Advance(in *Instance, a *assign, now simclock.Time) float
 	// queue (sequences whose prefill has not started, plus any preempted
 	// sequences waiting to re-enter).
 	in.backlog = float64(ie.eng.WaitingLen())
-	in.capEst = 0
 	ie.cls = workload.Classify(int(in.mixIn), int(in.mixOut))
 	b.settleKV(ie)
 	if ie.handoffsIn > 0 {

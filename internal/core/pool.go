@@ -169,10 +169,6 @@ type Instance struct {
 	// throughputFactor it is NOT reset when lifecycle timers settle — it
 	// persists until Controls.RepairStragglers clears it.
 	slowFactor float64
-	// capEst is the measured capacity estimate (req/s) derived from the
-	// engine's utilization at the current mix; it replaces the snapped
-	// per-class profile capacity once the instance has seen traffic.
-	capEst float64
 	// tickAssigned counts requests placed on this instance in the
 	// current tick, so placement sees intra-tick load immediately.
 	tickAssigned float64

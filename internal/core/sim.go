@@ -17,15 +17,6 @@ import (
 	"dynamollm/internal/workload"
 )
 
-// Provisioning latencies (Table V): creating an 8xH100 VM, initializing the
-// distributed environment, downloading weights, configuring the engine and
-// installing weights takes 6-8 minutes on the naive path. DynamoLLM's
-// snapshot start with cluster-cached weights and background pre-warming
-// cuts the critical-path cost to seconds (§IV-C).
-// maxCapFraction is the utilization treated as an instance's usable
-// capacity when deriving it from the measured operating point.
-const maxCapFraction = 0.9
-
 // provisionHeadroom pads peak-based static provisioning (the paper
 // provisions baselines "to handle the peak load").
 const provisionHeadroom = 1.25
@@ -34,6 +25,11 @@ const provisionHeadroom = 1.25
 // highest-performance node's capacity merges into the next-larger pool.
 const mergeFraction = 0.35
 
+// Provisioning latencies (Table V): creating an 8xH100 VM, initializing the
+// distributed environment, downloading weights, configuring the engine and
+// installing weights takes 6-8 minutes on the naive path. DynamoLLM's
+// snapshot start with cluster-cached weights and background pre-warming
+// cuts the critical-path cost to seconds (§IV-C).
 const (
 	NaiveProvisionSeconds     = 7 * 60
 	SnapshotProvisionSeconds  = 33 // engine config + weight install only

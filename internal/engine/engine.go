@@ -62,16 +62,16 @@ type seqState struct {
 	// re-hitting an entry only it kept alive would cycle forever at the
 	// block boundary it already could not cross).
 	noPrefix bool
-	// enqueued is when the request entered the engine.
-	enqueued simclock.Time
 	// lastToken is when the sequence's most recent token was produced;
 	// TBT gaps are measured against it.
 	lastToken simclock.Time
 }
 
 // LatencySink receives latency samples as the engine produces tokens,
-// tagged by the request's true class. The cluster's event backend installs
-// one per run to capture per-class TTFT/TBT distributions into metrics.
+// tagged by the request's true class. It is the engine's only latency
+// output: the cluster's event backend installs one per run to capture
+// per-class TTFT/TBT distributions into metrics, and Measure installs a
+// distSink to read the profile's p99s.
 type LatencySink interface {
 	ObserveTTFT(cls workload.Class, seconds float64)
 	ObserveTBT(cls workload.Class, seconds float64)
@@ -213,9 +213,6 @@ type Engine struct {
 	onIterStart func()
 	onIterEnd   func()
 
-	// Measurements.
-	TTFT *metrics.Dist
-	TBT  *metrics.Dist
 	// Counters is the engine's integer counter bank, embedded so call
 	// sites keep reading e.Completed, e.Preempted, ... unchanged. It is
 	// a separate struct so the counter algebra lives in one place
@@ -240,8 +237,6 @@ func New(cfg perfmodel.Config, clock *simclock.Clock) *Engine {
 		clock:      clock,
 		kvCapacity: cfg.Model.KVCapacityTokens(cfg.TP),
 		meter:      energy.NewMeter(0),
-		TTFT:       metrics.NewDist(),
-		TBT:        metrics.NewDist(),
 	}
 	e.onIterStart = e.iterate
 	e.onIterEnd = e.finishIteration
@@ -275,7 +270,6 @@ func (e *Engine) Submit(req *workload.Request) {
 	st := e.getState()
 	st.req = req
 	st.prefillLeft = req.InputTokens
-	st.enqueued = e.clock.Now()
 	e.TokensIn += req.InputTokens
 	e.enqueue(st)
 }
@@ -288,7 +282,6 @@ func (e *Engine) SubmitCopy(req workload.Request) {
 	st.owned = req
 	st.req = &st.owned
 	st.prefillLeft = req.InputTokens
-	st.enqueued = e.clock.Now()
 	e.TokensIn += req.InputTokens
 	e.enqueue(st)
 }
@@ -580,18 +573,12 @@ func (e *Engine) finishIteration() {
 			// then and is not re-recorded.
 			if st.req.FirstToken == 0 {
 				st.req.FirstToken = end
-				ttft := float64(end - st.req.Arrival)
-				e.TTFT.Add(ttft)
 				if e.sink != nil {
-					e.sink.ObserveTTFT(st.req.Class(), ttft)
+					e.sink.ObserveTTFT(st.req.Class(), float64(end-st.req.Arrival))
 				}
 			}
-		} else {
-			gap := float64(end - st.lastToken)
-			e.TBT.Add(gap)
-			if e.sink != nil {
-				e.sink.ObserveTBT(st.req.Class(), gap)
-			}
+		} else if e.sink != nil {
+			e.sink.ObserveTBT(st.req.Class(), float64(end-st.lastToken))
 		}
 		st.lastToken = end
 		if e.onToken != nil {
@@ -641,6 +628,13 @@ func (e *Engine) finishIteration() {
 // MeasureSeconds is the virtual duration of one profiling run.
 const MeasureSeconds = 240
 
+// distSink is the LatencySink Measure installs: every sample, whatever
+// its class, lands in one TTFT and one TBT distribution.
+type distSink struct{ ttft, tbt *metrics.Dist }
+
+func (d *distSink) ObserveTTFT(_ workload.Class, v float64) { d.ttft.Add(v) }
+func (d *distSink) ObserveTBT(_ workload.Class, v float64)  { d.tbt.Add(v) }
+
 // Measure runs a Poisson workload of the given shape against a live engine
 // and reports the observation the profiler needs. It satisfies
 // profile.Measurer, mirroring the paper's measured profiling runs (§IV-A).
@@ -654,6 +648,8 @@ func Measure(cfg perfmodel.Config, lambda float64, inTokens, outTokens int, sloS
 	clock := simclock.New()
 	rng := simclock.NewRNG(uint64(lambda*1e6) ^ uint64(inTokens)<<20 ^ uint64(outTokens))
 	eng := New(cfg, clock)
+	lat := &distSink{ttft: metrics.NewDist(), tbt: metrics.NewDist()}
+	eng.SetSink(lat)
 
 	t := 0.0
 	for {
@@ -673,8 +669,8 @@ func Measure(cfg perfmodel.Config, lambda float64, inTokens, outTokens int, sloS
 	clock.RunUntil(simclock.Time(MeasureSeconds))
 
 	obs.Power = eng.Energy() / MeasureSeconds
-	obs.TTFTP99 = eng.TTFT.Percentile(99)
-	obs.TBTP99 = eng.TBT.Percentile(99)
+	obs.TTFTP99 = lat.ttft.Percentile(99)
+	obs.TBTP99 = lat.tbt.Percentile(99)
 	// Saturation check: the queue must not grow without bound.
 	backlog := eng.QueueLen()
 	obs.Feasible = float64(backlog) < math.Max(10, lambda*MeasureSeconds*0.05) &&

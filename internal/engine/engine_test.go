@@ -92,15 +92,16 @@ func TestEnergyAccrues(t *testing.T) {
 
 func TestTBTGapsRecorded(t *testing.T) {
 	clock := simclock.New()
-	eng := New(cfg70(model.TP8, gpu.MaxFreq), clock)
+	eng := sunk(New(cfg70(model.TP8, gpu.MaxFreq), clock))
 	eng.Submit(&workload.Request{Arrival: 0, InputTokens: 128, OutputTokens: 50})
 	clock.Run()
-	if eng.TBT.N() != 49 {
-		t.Errorf("TBT gaps = %d, want 49", eng.TBT.N())
+	tbt := lat(eng).tbt
+	if tbt.N() != 49 {
+		t.Errorf("TBT gaps = %d, want 49", tbt.N())
 	}
 	// Gaps near the analytic single-sequence iteration time.
 	want := cfg70(model.TP8, gpu.MaxFreq).IsolatedTBT(150)
-	if got := eng.TBT.Percentile(50); got < want*0.5 || got > want*2 {
+	if got := tbt.Percentile(50); got < want*0.5 || got > want*2 {
 		t.Errorf("median gap = %v, analytic = %v", got, want)
 	}
 }
@@ -152,6 +153,31 @@ func TestMeasureCrossValidatesFluidModel(t *testing.T) {
 	}
 }
 
+// TestMeasureObservationPinned pins Measure's observation bit for bit at
+// two (config, load, shape) points, so the profiles built from it cannot
+// drift unnoticed; change the constants only with a deliberate model
+// change. The p99s are histogram bin values, so the pin holds to the
+// histogram's resolution.
+func TestMeasureObservationPinned(t *testing.T) {
+	in, out := workload.RepresentativeLengths(workload.MM)
+	for _, p := range []struct {
+		cfg              perfmodel.Config
+		lambda           float64
+		in, out          int
+		power, ttft, tbt uint64
+	}{
+		{cfg70(model.TP8, gpu.MaxFreq), 3, in, out, 0x40a63fdb32dcfa2f, 0x3fb262eb9202047c, 0x3fa0fcb4f3da4902},
+		{cfg70(model.TP4, 1200), 1.5, 2048, 128, 0x409135b8c9eea47a, 0x3fff606764075599, 0x3fb73e004bec9800},
+	} {
+		obs := Measure(p.cfg, p.lambda, p.in, p.out, 1)
+		got := [3]uint64{math.Float64bits(obs.Power), math.Float64bits(obs.TTFTP99), math.Float64bits(obs.TBTP99)}
+		if want := [3]uint64{p.power, p.ttft, p.tbt}; !obs.Feasible || got != want {
+			t.Errorf("%v λ=%v %d/%d: feasible=%v {power ttft tbt} bits = %#x, want %#x",
+				p.cfg, p.lambda, p.in, p.out, obs.Feasible, got, want)
+		}
+	}
+}
+
 func TestMeasureDetectsSaturation(t *testing.T) {
 	cfg := cfg70(model.TP2, 800)
 	in, out := workload.RepresentativeLengths(workload.MM)
@@ -193,7 +219,7 @@ func TestFig3FrequencySwitchOverhead(t *testing.T) {
 func TestEngineChunksLongPrompts(t *testing.T) {
 	clock := simclock.New()
 	cfg := cfg70(model.TP8, gpu.MaxFreq)
-	eng := New(cfg, clock)
+	eng := sunk(New(cfg, clock))
 	// A decoding victim first, then a long-prompt arrival.
 	victim := &workload.Request{Arrival: 0, InputTokens: 64, OutputTokens: 400}
 	eng.Submit(victim)
@@ -201,7 +227,7 @@ func TestEngineChunksLongPrompts(t *testing.T) {
 		eng.Submit(&workload.Request{Arrival: 1, InputTokens: 3072, OutputTokens: 5})
 	})
 	clock.Run()
-	maxGap := eng.TBT.Max()
+	maxGap := lat(eng).tbt.Max()
 	chunkIter := cfg.Iter(perfmodel.Batch{
 		PrefillTokens: perfmodel.PrefillChunk,
 		DecodeSeqs:    2,

@@ -18,10 +18,14 @@ import "dynamollm/internal/workload"
 // prefix cache; later arrivals skip the covered prompt tokens entirely.
 //
 // With BlockTokens == 0 (the default) none of this code runs and the
-// legacy token-granular path is preserved bit-for-bit; with blocks enabled
-// but capacity effectively unbounded, admission makes the same decisions
-// as the legacy path and the event stream is identical — the cross-
-// fidelity compat test pins both properties.
+// legacy token-granular path is preserved bit-for-bit. With blocks
+// enabled, admission makes the same decisions as the legacy path, and the
+// event stream is identical, only while the legacy token cap never binds
+// (TestKVUnboundedMatchesLegacy in core pins this on a light load). Once
+// it binds the two diverge: in one seed-1 run of perfbench's event-faults
+// workload at full capacity, 16-token blocks preempted 870 sequences,
+// while the legacy path preempted none because its cap held the queue
+// head back in 12,590 iterations.
 
 // KVConfig selects block-granular KV accounting for an engine.
 type KVConfig struct {
@@ -154,7 +158,6 @@ func (e *Engine) SubmitDecode(req workload.Request, ctx int) {
 	st.prefillLeft = 0
 	st.produced = 1
 	st.ctx = ctx
-	st.enqueued = e.clock.Now()
 	st.lastToken = req.FirstToken
 	e.enqueue(st)
 }

@@ -293,7 +293,7 @@ func TestKVSnapshotRoundTrip(t *testing.T) {
 	reqs := kvPropReqs(70, 41)
 
 	refClk := simclock.New()
-	ref := New(cfg, refClk)
+	ref := sunk(New(cfg, refClk))
 	ref.ConfigureKV(kv)
 	scheduleFrom(refClk, ref, reqs, -1)
 	refClk.Run()
@@ -305,7 +305,7 @@ func TestKVSnapshotRoundTrip(t *testing.T) {
 
 	for _, cut := range []simclock.Time{0.4, 2.0, 6.5} {
 		clk := simclock.New()
-		eng := New(cfg, clk)
+		eng := sunk(New(cfg, clk))
 		eng.ConfigureKV(kv)
 		scheduleFrom(clk, eng, reqs, -1)
 		clk.RunUntil(cut)
@@ -313,7 +313,7 @@ func TestKVSnapshotRoundTrip(t *testing.T) {
 
 		clk2 := simclock.New()
 		clk2.RunUntil(cut)
-		eng2 := FromSnapshot(snap, clk2)
+		eng2 := restoreSunk(snap, clk2, eng)
 		scheduleFrom(clk2, eng2, reqs, cut)
 		clk2.Run()
 		if got := kvFingerprint(eng2); got != want {
@@ -337,7 +337,7 @@ func TestKVSnapshotCarriesPreemptedState(t *testing.T) {
 	reqs := kvPropReqs(50, 53)
 
 	clk := simclock.New()
-	eng := New(cfg, clk)
+	eng := sunk(New(cfg, clk))
 	eng.ConfigureKV(kv)
 	scheduleFrom(clk, eng, reqs, -1)
 	var cut simclock.Time
@@ -362,7 +362,7 @@ func TestKVSnapshotCarriesPreemptedState(t *testing.T) {
 
 	clk2 := simclock.New()
 	clk2.RunUntil(cut)
-	eng2 := FromSnapshot(snap, clk2)
+	eng2 := restoreSunk(snap, clk2, eng)
 	scheduleFrom(clk2, eng2, reqs, cut)
 	clk2.Run()
 	clk.Run()
@@ -492,7 +492,7 @@ func TestKVTierSnapshotRoundTrip(t *testing.T) {
 	reqs := kvPropReqs(70, 41)
 
 	refClk := simclock.New()
-	ref := New(cfg, refClk)
+	ref := sunk(New(cfg, refClk))
 	ref.ConfigureKV(kv)
 	scheduleFrom(refClk, ref, reqs, -1)
 	refClk.Run()
@@ -521,7 +521,7 @@ func TestKVTierSnapshotRoundTrip(t *testing.T) {
 
 	for _, cut := range []simclock.Time{0.4, midSwap, 6.5} {
 		clk := simclock.New()
-		eng := New(cfg, clk)
+		eng := sunk(New(cfg, clk))
 		eng.ConfigureKV(kv)
 		scheduleFrom(clk, eng, reqs, -1)
 		clk.RunUntil(cut)
@@ -532,7 +532,7 @@ func TestKVTierSnapshotRoundTrip(t *testing.T) {
 
 		clk2 := simclock.New()
 		clk2.RunUntil(cut)
-		eng2 := FromSnapshot(snap, clk2)
+		eng2 := restoreSunk(snap, clk2, eng)
 		scheduleFrom(clk2, eng2, reqs, cut)
 		clk2.Run()
 		if got := kvFingerprint(eng2); got != want {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dynamollm/internal/energy"
-	"dynamollm/internal/metrics"
 	"dynamollm/internal/perfmodel"
 	"dynamollm/internal/simclock"
 	"dynamollm/internal/workload"
@@ -22,7 +21,6 @@ type SeqSnapshot struct {
 	TierBlocks   int
 	PrefixTokens int
 	NoPrefix     bool
-	Enqueued     simclock.Time
 	LastToken    simclock.Time
 }
 
@@ -48,13 +46,14 @@ type SwapSnapshot struct {
 // Snapshot is a self-contained copy of an Engine at a quiescent instant:
 // every event at or before Now has executed and anything still pending
 // lies strictly later (the state after Clock.RunUntil(Now)). It owns all
-// of its storage — distributions, meter, and sequence states are cloned —
-// so it stays valid while the source engine keeps running, and one
-// snapshot can seed any number of restored engines.
+// of its storage — the meter and sequence states are cloned — so it stays
+// valid while the source engine keeps running, and one snapshot can seed
+// any number of restored engines.
 //
 // Callbacks (completion, token, latency sink) are deliberately not part of
 // the snapshot; rewire them on the restored engine with SetOnComplete,
-// SetOnToken, and SetSink.
+// SetOnToken, and SetSink. Latency samples recorded before the cut live in
+// the caller's sink, not here.
 type Snapshot struct {
 	Cfg perfmodel.Config
 	Now simclock.Time
@@ -87,8 +86,6 @@ type Snapshot struct {
 	SwapReady  []SeqSnapshot
 	Swapping   []SwapSnapshot
 
-	TTFT          *metrics.Dist
-	TBT           *metrics.Dist
 	Completed     int
 	TokensIn      int
 	TokensOut     int
@@ -113,7 +110,6 @@ func snapSeq(st *seqState) SeqSnapshot {
 		TierBlocks:   st.tierBlocks,
 		PrefixTokens: st.prefixTokens,
 		NoPrefix:     st.noPrefix,
-		Enqueued:     st.enqueued,
 		LastToken:    st.lastToken,
 	}
 }
@@ -130,8 +126,6 @@ func (e *Engine) Snapshot() *Snapshot {
 		FrozenUntil:  e.frozenUntil,
 		IterEnd:      e.iterEnd,
 		NextStart:    e.nextStart,
-		TTFT:         e.TTFT.Clone(),
-		TBT:          e.TBT.Clone(),
 		Completed:    e.Completed,
 		TokensIn:     e.TokensIn,
 		TokensOut:    e.TokensOut,
@@ -210,7 +204,6 @@ func restoreSeq(e *Engine, q SeqSnapshot) *seqState {
 	st.tierBlocks = q.TierBlocks
 	st.prefixTokens = q.PrefixTokens
 	st.noPrefix = q.NoPrefix
-	st.enqueued = q.Enqueued
 	st.lastToken = q.LastToken
 	return st
 }
@@ -235,8 +228,6 @@ func FromSnapshot(s *Snapshot, clock *simclock.Clock) *Engine {
 		iterEnd:     s.IterEnd,
 		nextStart:   s.NextStart,
 		meter:       s.Meter.Clone(),
-		TTFT:        s.TTFT.Clone(),
-		TBT:         s.TBT.Clone(),
 		prefillOnly: s.PrefillOnly,
 		Counters: Counters{
 			Completed:     s.Completed,

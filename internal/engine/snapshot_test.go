@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dynamollm/internal/gpu"
+	"dynamollm/internal/metrics"
 	"dynamollm/internal/model"
 	"dynamollm/internal/simclock"
 	"dynamollm/internal/workload"
@@ -19,14 +20,38 @@ type engineFingerprint struct {
 	EnergyJ                        float64
 }
 
+// engFP reads the latency stream from the distSink installed by sunk or
+// restoreSunk.
 func engFP(e *Engine) engineFingerprint {
+	l := lat(e)
 	return engineFingerprint{
 		Completed: e.Completed, TokensIn: e.TokensIn, TokensOut: e.TokensOut,
 		QueueLen: e.QueueLen(),
-		TTFTN:    e.TTFT.N(), TBTN: e.TBT.N(),
-		TTFTP99: e.TTFT.Percentile(99), TBTP99: e.TBT.Percentile(99),
+		TTFTN:    l.ttft.N(), TBTN: l.tbt.N(),
+		TTFTP99: l.ttft.Percentile(99), TBTP99: l.tbt.Percentile(99),
 		EnergyJ: e.Energy(),
 	}
+}
+
+// sunk installs a fresh distSink on e, so tests can read the latency
+// samples the engine emits.
+func sunk(e *Engine) *Engine {
+	e.SetSink(&distSink{ttft: metrics.NewDist(), tbt: metrics.NewDist()})
+	return e
+}
+
+// lat returns the distSink installed on e.
+func lat(e *Engine) *distSink { return e.sink.(*distSink) }
+
+// restoreSunk restores snap onto clk and hands the restored engine a clone
+// of src's sink as it stands at the cut, so the restored engine's latency
+// stream continues the source's sample for sample. Call it before src
+// runs past the cut.
+func restoreSunk(snap *Snapshot, clk *simclock.Clock, src *Engine) *Engine {
+	e := FromSnapshot(snap, clk)
+	l := lat(src)
+	e.SetSink(&distSink{ttft: l.ttft.Clone(), tbt: l.tbt.Clone()})
+	return e
 }
 
 func snapReqs(n int, seed uint64) []workload.Request {
@@ -63,7 +88,7 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 	reqs := snapReqs(60, 11)
 
 	refClk := simclock.New()
-	ref := New(cfg, refClk)
+	ref := sunk(New(cfg, refClk))
 	scheduleFrom(refClk, ref, reqs, -1)
 	refClk.Run()
 	want := engFP(ref)
@@ -75,14 +100,14 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 	// in steady decode, and near the drain tail.
 	for _, cut := range []simclock.Time{0.0005, 0.8, 2.5, 7.3} {
 		clk := simclock.New()
-		eng := New(cfg, clk)
+		eng := sunk(New(cfg, clk))
 		scheduleFrom(clk, eng, reqs, -1)
 		clk.RunUntil(cut)
 		snap := eng.Snapshot()
 
 		clk2 := simclock.New()
 		clk2.RunUntil(cut)
-		eng2 := FromSnapshot(snap, clk2)
+		eng2 := restoreSunk(snap, clk2, eng)
 		scheduleFrom(clk2, eng2, reqs, cut)
 		clk2.Run()
 		if got := engFP(eng2); got != want {
@@ -104,7 +129,7 @@ func TestSnapshotReusable(t *testing.T) {
 	reqs := snapReqs(30, 3)
 
 	clk := simclock.New()
-	eng := New(cfg, clk)
+	eng := sunk(New(cfg, clk))
 	scheduleFrom(clk, eng, reqs, -1)
 	clk.RunUntil(1.5)
 	snap := eng.Snapshot()
@@ -113,7 +138,7 @@ func TestSnapshotReusable(t *testing.T) {
 	for k := range fps {
 		c := simclock.New()
 		c.RunUntil(1.5)
-		e := FromSnapshot(snap, c)
+		e := restoreSunk(snap, c, eng)
 		scheduleFrom(c, e, reqs, 1.5)
 		c.Run()
 		fps[k] = engFP(e)
@@ -130,7 +155,7 @@ func TestSnapshotDuringFreeze(t *testing.T) {
 	cfg := cfg70(model.TP8, gpu.MaxFreq)
 
 	clk := simclock.New()
-	eng := New(cfg, clk)
+	eng := sunk(New(cfg, clk))
 	eng.Submit(&workload.Request{Arrival: 0, InputTokens: 128, OutputTokens: 8})
 	eng.Freeze(5)
 	clk.RunUntil(1)
@@ -138,7 +163,7 @@ func TestSnapshotDuringFreeze(t *testing.T) {
 
 	clk2 := simclock.New()
 	clk2.RunUntil(1)
-	eng2 := FromSnapshot(snap, clk2)
+	eng2 := restoreSunk(snap, clk2, eng)
 	clk2.Run()
 	clk.Run()
 
