@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dynamollm/internal/energy"
 	"dynamollm/internal/engine"
 	"dynamollm/internal/gpu"
 	"dynamollm/internal/model"
@@ -819,10 +818,7 @@ func (b *eventBackend) settleEnergy(ie *instEngine, at simclock.Time) {
 	if tickJ <= 0 {
 		return
 	}
-	b.res.EnergyJ += tickJ
-	b.res.EnergyCostUSD += energy.KWh(tickJ) * b.s.opts.EnergyPriceUSDPerKWh * b.s.priceMult
-	b.res.EnergyByClassJ[ie.cls] += tickJ
-	b.res.EnergySeries.Accumulate(float64(at), tickJ)
+	b.res.bookEnergy(at, ie.cls, tickJ, b.s.priceMult)
 }
 
 // complete judges one finished request against its true class's SLO.

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 
-	"dynamollm/internal/energy"
 	"dynamollm/internal/gpu"
 	"dynamollm/internal/model"
 	"dynamollm/internal/perfmodel"
@@ -258,11 +257,6 @@ type Options struct {
 	// concurrent simulations.
 	Hook TickHook
 
-	// EnergyPriceUSDPerKWh is the nominal electricity price integrated
-	// into Result.EnergyCostUSD (scaled by any hook-injected price
-	// multiplier). Zero takes the §V-F default (ERCOT-like $0.03/kWh).
-	EnergyPriceUSDPerKWh float64
-
 	// Observer, when non-nil, receives per-request terminal notifications
 	// (and, under FidelityEvent, per-token events for tagged requests)
 	// from whichever backend serves the run. The live serving session
@@ -332,9 +326,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Tick <= 0 {
 		o.Tick = o.InstanceEpoch
-	}
-	if o.EnergyPriceUSDPerKWh <= 0 {
-		o.EnergyPriceUSDPerKWh = energy.DefaultCost.EnergyUSDPerKWh
 	}
 	return o
 }

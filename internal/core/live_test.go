@@ -10,26 +10,41 @@ import (
 )
 
 // resultFingerprint captures the fields two runs must agree on to count
-// as identical simulations.
+// as identical simulations. Token-level latency (ClassTBT, event fidelity
+// only) and the KV counters are included so a fork or restore must also
+// carry every engine's in-flight tokens and KV state across the cut.
 type resultFingerprint struct {
 	Requests, Squashed, Completed, SLOMet int
 	Reshards, ScaleOuts, Emergencies      int
 	EnergyJ                               float64
 	TTFTP99, TBTP99                       float64
 	GPUSeconds                            float64
+	ClassTBTN                             [workload.NumClasses]int
+	ClassTBTP99                           [workload.NumClasses]float64
+	KVPreemptions, KVSwapOuts, Handoffs   int
 }
 
 func fingerprint(res *Result) resultFingerprint {
-	return resultFingerprint{
+	fp := resultFingerprint{
 		Requests: res.Requests, Squashed: res.Squashed,
 		Completed: res.Completed, SLOMet: res.SLOMet,
 		Reshards: res.Reshards, ScaleOuts: res.ScaleOuts,
-		Emergencies: res.Emergencies,
-		EnergyJ:     res.EnergyJ,
-		TTFTP99:     res.TTFT.Percentile(99),
-		TBTP99:      res.TBT.Percentile(99),
-		GPUSeconds:  res.GPUSeconds,
+		Emergencies:   res.Emergencies,
+		EnergyJ:       res.EnergyJ,
+		TTFTP99:       res.TTFT.Percentile(99),
+		TBTP99:        res.TBT.Percentile(99),
+		GPUSeconds:    res.GPUSeconds,
+		KVPreemptions: res.KVPreemptions,
+		KVSwapOuts:    res.KVSwapOuts,
+		Handoffs:      res.Handoffs,
 	}
+	for cls, d := range res.ClassTBT {
+		if d != nil {
+			fp.ClassTBTN[cls] = d.N()
+			fp.ClassTBTP99[cls] = d.Percentile(99)
+		}
+	}
+	return fp
 }
 
 // liveOpts are options whose provisioning pre-pass does not depend on the

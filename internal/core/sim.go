@@ -108,7 +108,6 @@ type Result struct {
 	// Power (Fig. 8): cluster power samples per tick and per-GPU samples.
 	ClusterPowerW *metrics.Dist
 	GPUPowerW     *metrics.Dist
-	PowerSeries   *metrics.Series // avg cluster watts per minute
 
 	// Frequency over time (Fig. 9): cluster-wide and per tracked pool.
 	FreqSeries     *metrics.Series
@@ -171,6 +170,16 @@ func (r *Result) SLOAttainment() float64 {
 
 // EnergyKWh returns total energy in kWh.
 func (r *Result) EnergyKWh() float64 { return energy.KWh(r.EnergyJ) }
+
+// bookEnergy books j joules drawn for work of class cls into the totals,
+// the bill (at the nominal electricity price scaled by priceMult), and the
+// energy series bucket holding `at`.
+func (r *Result) bookEnergy(at simclock.Time, cls workload.Class, j, priceMult float64) {
+	r.EnergyJ += j
+	r.EnergyCostUSD += energy.KWh(j) * energy.DefaultCost.EnergyUSDPerKWh * priceMult
+	r.EnergyByClassJ[cls] += j
+	r.EnergySeries.Accumulate(float64(at), j)
+}
 
 // CheckInvariants verifies the result's accounting identities: request
 // conservation (every routed request reaches exactly one terminal state —
@@ -518,7 +527,6 @@ func newSimulation(tr trace.Trace, opts Options, repo *profile.Repository) *simu
 		TBT:             metrics.NewDist(),
 		ClusterPowerW:   metrics.NewDist(),
 		GPUPowerW:       metrics.NewDist(),
-		PowerSeries:     metrics.NewSeries(simclock.Minute),
 		FreqSeries:      metrics.NewSeries(simclock.Minute),
 		PoolFreqSeries:  map[workload.Class]*metrics.Series{},
 		ShardSeries:     map[model.TP]*metrics.Series{},
@@ -657,7 +665,7 @@ func (sm *simulation) reserve() {
 	sm.assigns = make([]assign, 64)
 
 	res := sm.res
-	series := []*metrics.Series{res.PowerSeries, res.FreqSeries, res.EnergySeries}
+	series := []*metrics.Series{res.FreqSeries, res.EnergySeries}
 	//dynamolint:order-independent each series is Reserved exactly once; visit order has no effect
 	for _, s := range res.PoolFreqSeries {
 		series = append(series, s)
@@ -1048,12 +1056,8 @@ func (sm *simulation) accountTick(now simclock.Time) {
 			pFreqDen += float64(in.TP.GPUs())
 
 			// Attribute energy to classes by served mix.
-			tickJ := watts * opts.Tick
-			res.EnergyJ += tickJ
-			res.EnergyCostUSD += energy.KWh(tickJ) * opts.EnergyPriceUSDPerKWh * s.priceMult
 			cls := workload.Classify(int(in.mixIn), int(in.mixOut))
-			res.EnergyByClassJ[cls] += tickJ
-			res.EnergySeries.Accumulate(float64(now), tickJ)
+			res.bookEnergy(now, cls, watts*opts.Tick, s.priceMult)
 		}
 		// Per-pool tracked series.
 		for _, cls := range c.tracked {
@@ -1085,7 +1089,6 @@ func (sm *simulation) accountTick(now simclock.Time) {
 		p.arrivalsThisTick = 0
 	}
 	res.ClusterPowerW.Add(clusterPower)
-	res.PowerSeries.Observe(float64(now), clusterPower, 1)
 	if freqDen > 0 {
 		res.FreqSeries.Observe(float64(now), freqNum/freqDen, 1)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"dynamollm/internal/engine"
 	"dynamollm/internal/metrics"
 	"dynamollm/internal/model"
 	"dynamollm/internal/simclock"
@@ -159,11 +158,10 @@ func cloneInstance(in *Instance) *Instance {
 }
 
 // cloneFor copies the event backend's state onto a cloned cluster: each
-// live engine round-trips through engine.Snapshot/FromSnapshot onto a
-// fresh clock (private normally, one shared clock per pool group under
-// disaggregation), in-flight KV transfers are re-scheduled against the
-// cloned engines, and undelivered submissions are remapped to the cloned
-// instances.
+// live engine is cloned onto a fresh clock (private normally, one shared
+// clock per pool group under disaggregation), in-flight KV transfers are
+// re-scheduled against the cloned engines, and undelivered submissions
+// are remapped to the cloned instances.
 func (b *eventBackend) cloneFor(nc *Cluster, nr *Result, instMap map[*Instance]*Instance) *eventBackend {
 	nb := newEventBackend(nc, nr)
 	nb.now = b.now
@@ -191,7 +189,7 @@ func (b *eventBackend) cloneFor(nc *Cluster, nr *Result, instMap map[*Instance]*
 			clk.RunUntil(b.now)
 		}
 		nie := &instEngine{
-			eng:        engine.FromSnapshot(ie.eng.Snapshot(), clk),
+			eng:        ie.eng.Clone(clk),
 			clock:      clk,
 			pool:       ie.pool,
 			lastJ:      ie.lastJ,
@@ -210,7 +208,7 @@ func (b *eventBackend) cloneFor(nc *Cluster, nr *Result, instMap map[*Instance]*
 		nb.wire(nie)
 		nb.engines[id] = nie
 		// Re-arm in-flight KV transfers: their arrival events live on the
-		// original clock, not in any engine snapshot, so the clone must
+		// original clock, not in any engine's state, so the clone must
 		// re-schedule them (the fork would otherwise silently drop every
 		// handoff that was mid-transfer at the cut).
 		for _, t := range ie.transfers {
@@ -265,7 +263,6 @@ func cloneResult(r *Result) *Result {
 	}
 	nr.ClusterPowerW = r.ClusterPowerW.Clone()
 	nr.GPUPowerW = r.GPUPowerW.Clone()
-	nr.PowerSeries = r.PowerSeries.Clone()
 	nr.FreqSeries = r.FreqSeries.Clone()
 	nr.EnergySeries = r.EnergySeries.Clone()
 	nr.PoolFreqSeries = cloneSeriesByClass(r.PoolFreqSeries)

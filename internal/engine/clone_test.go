@@ -21,7 +21,7 @@ type engineFingerprint struct {
 }
 
 // engFP reads the latency stream from the distSink installed by sunk or
-// restoreSunk.
+// cloneSunk.
 func engFP(e *Engine) engineFingerprint {
 	l := lat(e)
 	return engineFingerprint{
@@ -43,12 +43,11 @@ func sunk(e *Engine) *Engine {
 // lat returns the distSink installed on e.
 func lat(e *Engine) *distSink { return e.sink.(*distSink) }
 
-// restoreSunk restores snap onto clk and hands the restored engine a clone
-// of src's sink as it stands at the cut, so the restored engine's latency
-// stream continues the source's sample for sample. Call it before src
-// runs past the cut.
-func restoreSunk(snap *Snapshot, clk *simclock.Clock, src *Engine) *Engine {
-	e := FromSnapshot(snap, clk)
+// cloneSunk clones src onto clk and hands the clone a copy of src's sink
+// as it stands at the cut, so the clone's latency stream continues the
+// source's sample for sample.
+func cloneSunk(src *Engine, clk *simclock.Clock) *Engine {
+	e := src.Clone(clk)
 	l := lat(src)
 	e.SetSink(&distSink{ttft: l.ttft.Clone(), tbt: l.tbt.Clone()})
 	return e
@@ -79,10 +78,10 @@ func scheduleFrom(clk *simclock.Clock, eng *Engine, reqs []workload.Request, aft
 }
 
 // TestSnapshotRestoreMatchesUninterrupted is the round-trip property test:
-// snapshot an engine mid-run at an arbitrary quiescent instant, restore it
-// onto a fresh clock, replay the remaining arrivals — the restored engine
-// must finish bit-identical to one that ran uninterrupted, and taking the
-// snapshot must not perturb the source engine either.
+// clone an engine mid-run at an arbitrary quiescent instant onto a fresh
+// clock, replay the remaining arrivals — the clone must finish
+// bit-identical to one that ran uninterrupted, and cloning must not
+// perturb the source engine either.
 func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 	cfg := cfg70(model.TP4, 1600)
 	reqs := snapReqs(60, 11)
@@ -103,27 +102,27 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 		eng := sunk(New(cfg, clk))
 		scheduleFrom(clk, eng, reqs, -1)
 		clk.RunUntil(cut)
-		snap := eng.Snapshot()
 
 		clk2 := simclock.New()
 		clk2.RunUntil(cut)
-		eng2 := restoreSunk(snap, clk2, eng)
+		eng2 := cloneSunk(eng, clk2)
 		scheduleFrom(clk2, eng2, reqs, cut)
 		clk2.Run()
 		if got := engFP(eng2); got != want {
-			t.Errorf("cut %v: restored != uninterrupted:\n restored %+v\n want     %+v", cut, got, want)
+			t.Errorf("cut %v: clone != uninterrupted:\n clone %+v\n want  %+v", cut, got, want)
 		}
 
 		// The source keeps running as if nothing happened.
 		clk.Run()
 		if got := engFP(eng); got != want {
-			t.Errorf("cut %v: snapshotting perturbed the source:\n got  %+v\n want %+v", cut, got, want)
+			t.Errorf("cut %v: cloning perturbed the source:\n got  %+v\n want %+v", cut, got, want)
 		}
 	}
 }
 
-// TestSnapshotReusable: one snapshot seeds two independent engines; both
-// must match, and neither may share mutable state with the other.
+// TestSnapshotReusable: two clones of one source at one cut are
+// independent engines; both must match, and neither may share mutable
+// state with the other.
 func TestSnapshotReusable(t *testing.T) {
 	cfg := cfg70(model.TP8, gpu.MaxFreq)
 	reqs := snapReqs(30, 3)
@@ -132,46 +131,69 @@ func TestSnapshotReusable(t *testing.T) {
 	eng := sunk(New(cfg, clk))
 	scheduleFrom(clk, eng, reqs, -1)
 	clk.RunUntil(1.5)
-	snap := eng.Snapshot()
 
+	var clones [2]*Engine
+	var clks [2]*simclock.Clock
+	for k := range clones {
+		clks[k] = simclock.New()
+		clks[k].RunUntil(1.5)
+		clones[k] = cloneSunk(eng, clks[k])
+		scheduleFrom(clks[k], clones[k], reqs, 1.5)
+	}
+	// Run the clones one after the other: the first must not disturb the
+	// second, which has not moved yet.
 	var fps [2]engineFingerprint
-	for k := range fps {
-		c := simclock.New()
-		c.RunUntil(1.5)
-		e := restoreSunk(snap, c, eng)
-		scheduleFrom(c, e, reqs, 1.5)
-		c.Run()
-		fps[k] = engFP(e)
+	for k := range clones {
+		clks[k].Run()
+		fps[k] = engFP(clones[k])
 	}
 	if fps[0] != fps[1] {
-		t.Errorf("two restores of one snapshot diverged:\n %+v\n %+v", fps[0], fps[1])
+		t.Errorf("two clones of one source diverged:\n %+v\n %+v", fps[0], fps[1])
 	}
 }
 
-// TestSnapshotDuringFreeze: a snapshot taken while the engine is frozen
+// TestSnapshotDuringFreeze: a clone taken while the engine is frozen
 // (with the iteration start already kicked) must reproduce the scheduled
-// start time, not re-derive it from the freeze horizon.
+// start time, not re-derive it from the freeze horizon. Two shapes: the
+// freeze holds back the next start after a first iteration ran, and a
+// freeze extended after the kick leaves the pending start where it was.
 func TestSnapshotDuringFreeze(t *testing.T) {
 	cfg := cfg70(model.TP8, gpu.MaxFreq)
+	req := workload.Request{Arrival: 0, InputTokens: 128, OutputTokens: 8}
+	for _, tc := range []struct {
+		name  string
+		setup func(*simclock.Clock, *Engine)
+	}{
+		{"frozen", func(_ *simclock.Clock, eng *Engine) {
+			eng.SubmitCopy(req)
+			eng.Freeze(5)
+		}},
+		{"extended", func(clk *simclock.Clock, eng *Engine) {
+			eng.Freeze(2)
+			eng.SubmitCopy(req) // start kicked at the horizon, 2
+			clk.At(0.5, func() { eng.Freeze(5) })
+		}},
+	} {
+		clk := simclock.New()
+		eng := sunk(New(cfg, clk))
+		tc.setup(clk, eng)
+		clk.RunUntil(1)
+		if tc.name == "extended" && eng.nextStart >= eng.frozenUntil {
+			t.Fatalf("%s: pending start %v not before the freeze horizon %v", tc.name, eng.nextStart, eng.frozenUntil)
+		}
 
-	clk := simclock.New()
-	eng := sunk(New(cfg, clk))
-	eng.Submit(&workload.Request{Arrival: 0, InputTokens: 128, OutputTokens: 8})
-	eng.Freeze(5)
-	clk.RunUntil(1)
-	snap := eng.Snapshot()
+		clk2 := simclock.New()
+		clk2.RunUntil(1)
+		eng2 := cloneSunk(eng, clk2)
+		clk2.Run()
+		clk.Run()
 
-	clk2 := simclock.New()
-	clk2.RunUntil(1)
-	eng2 := restoreSunk(snap, clk2, eng)
-	clk2.Run()
-	clk.Run()
-
-	got, want := engFP(eng2), engFP(eng)
-	if got != want {
-		t.Errorf("freeze-time restore diverged:\n restored %+v\n source   %+v", got, want)
-	}
-	if eng2.Completed != 1 {
-		t.Fatalf("restored engine completed %d, want 1", eng2.Completed)
+		got, want := engFP(eng2), engFP(eng)
+		if got != want {
+			t.Errorf("%s: freeze-time clone diverged:\n clone  %+v\n source %+v", tc.name, got, want)
+		}
+		if eng2.Completed != 1 {
+			t.Fatalf("%s: clone completed %d, want 1", tc.name, eng2.Completed)
+		}
 	}
 }

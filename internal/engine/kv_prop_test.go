@@ -11,7 +11,7 @@ import (
 
 // Property suite for block-granular KV accounting: conservation at every
 // event boundary, no blocks leaked past completion, guaranteed progress
-// under the tightest possible pool, and snapshot round-trips that carry
+// under the tightest possible pool, and clone round-trips that carry
 // the full preemption/prefix state. These are the invariants the cluster
 // layers build on — a violation here surfaces as a deadlocked drain or a
 // silent capacity drift three packages away.
@@ -281,9 +281,9 @@ func kvFingerprint(e *Engine) kvFP {
 	}
 }
 
-// TestKVSnapshotRoundTrip: snapshot a pressured engine at cut points that
+// TestKVSnapshotRoundTrip: clone a pressured engine at cut points that
 // straddle prefix publication, active preemption churn, and the drain
-// tail; each restore must finish bit-identical to the uninterrupted run,
+// tail; each clone must finish bit-identical to the uninterrupted run,
 // preempted queue and prefix cache included.
 func TestKVSnapshotRoundTrip(t *testing.T) {
 	cfg := cfg70(model.TP4, 1600)
@@ -309,28 +309,27 @@ func TestKVSnapshotRoundTrip(t *testing.T) {
 		eng.ConfigureKV(kv)
 		scheduleFrom(clk, eng, reqs, -1)
 		clk.RunUntil(cut)
-		snap := eng.Snapshot()
 
 		clk2 := simclock.New()
 		clk2.RunUntil(cut)
-		eng2 := restoreSunk(snap, clk2, eng)
+		eng2 := cloneSunk(eng, clk2)
 		scheduleFrom(clk2, eng2, reqs, cut)
 		clk2.Run()
 		if got := kvFingerprint(eng2); got != want {
-			t.Errorf("cut %v: restored != uninterrupted:\n restored %+v\n want     %+v", cut, got, want)
+			t.Errorf("cut %v: clone != uninterrupted:\n clone %+v\n want  %+v", cut, got, want)
 		}
 
 		clk.Run()
 		if got := kvFingerprint(eng); got != want {
-			t.Errorf("cut %v: snapshotting perturbed the source:\n got  %+v\n want %+v", cut, got, want)
+			t.Errorf("cut %v: cloning perturbed the source:\n got  %+v\n want %+v", cut, got, want)
 		}
 	}
 }
 
-// TestKVSnapshotCarriesPreemptedState: a snapshot taken while sequences
-// sit in the preempted queue must restore them — queue order, recompute
-// footprints, and the noPrefix bar included (checked structurally, then
-// behaviourally by running to completion).
+// TestKVSnapshotCarriesPreemptedState: a clone taken while sequences sit
+// in the preempted queue must carry them — queue order, recompute
+// footprints, and the noPrefix bar included, in storage of its own
+// (checked structurally, then behaviourally by running to completion).
 func TestKVSnapshotCarriesPreemptedState(t *testing.T) {
 	cfg := cfg70(model.TP4, 1600)
 	kv := KVConfig{BlockTokens: 16, Blocks: 24, PrefixCache: true}
@@ -350,24 +349,33 @@ func TestKVSnapshotCarriesPreemptedState(t *testing.T) {
 	if cut == 0 {
 		t.Fatal("never caught a sequence in the preempted queue; pool too large")
 	}
-	snap := eng.Snapshot()
-	if len(snap.PreemptedQ) != eng.preLen() {
-		t.Fatalf("snapshot carries %d preempted, engine holds %d", len(snap.PreemptedQ), eng.preLen())
-	}
-	for i, q := range snap.PreemptedQ {
-		if !q.NoPrefix {
-			t.Errorf("preempted[%d] lost its noPrefix bar in the snapshot", i)
-		}
-	}
 
 	clk2 := simclock.New()
 	clk2.RunUntil(cut)
-	eng2 := restoreSunk(snap, clk2, eng)
+	eng2 := cloneSunk(eng, clk2)
+	if eng2.preLen() != eng.preLen() {
+		t.Fatalf("clone carries %d preempted, engine holds %d", eng2.preLen(), eng.preLen())
+	}
+	for i := 0; i < eng.preLen(); i++ {
+		src, cl := eng.preempted[eng.preHead+i], eng2.preempted[eng2.preHead+i]
+		if cl == src || cl.req == src.req {
+			t.Errorf("preempted[%d] shares storage with the source", i)
+		}
+		if !cl.noPrefix {
+			t.Errorf("preempted[%d] lost its noPrefix bar in the clone", i)
+		}
+		want := *src
+		want.owned, want.req = *src.req, cl.req
+		if *cl != want {
+			t.Errorf("preempted[%d] differs from the source:\n clone  %+v\n source %+v", i, *cl, want)
+		}
+	}
+
 	scheduleFrom(clk2, eng2, reqs, cut)
 	clk2.Run()
 	clk.Run()
 	if got, want := kvFingerprint(eng2), kvFingerprint(eng); got != want {
-		t.Errorf("restore-with-preempted diverged:\n restored %+v\n source   %+v", got, want)
+		t.Errorf("clone-with-preempted diverged:\n clone  %+v\n source %+v", got, want)
 	}
 }
 
@@ -482,10 +490,10 @@ func TestKVTierPropThrash(t *testing.T) {
 	}
 }
 
-// TestKVTierSnapshotRoundTrip: snapshots of a tiered engine — including
-// cuts taken with a swap-in transfer in flight on the link — restore to
-// runs bit-identical to the uninterrupted one, swap counters, tier
-// occupancy, and the re-armed transfer completion included.
+// TestKVTierSnapshotRoundTrip: clones of a tiered engine — including cuts
+// taken with a swap-in transfer in flight on the link — run bit-identical
+// to the uninterrupted one, swap counters, tier occupancy, and the
+// re-armed transfer completion included.
 func TestKVTierSnapshotRoundTrip(t *testing.T) {
 	cfg := cfg70(model.TP4, 1600)
 	kv := kvTierSlowCfg(256)
@@ -528,20 +536,19 @@ func TestKVTierSnapshotRoundTrip(t *testing.T) {
 		if cut == midSwap && eng.swapInflight == 0 {
 			t.Fatalf("cut %v: expected an in-flight transfer at the cut", cut)
 		}
-		snap := eng.Snapshot()
 
 		clk2 := simclock.New()
 		clk2.RunUntil(cut)
-		eng2 := restoreSunk(snap, clk2, eng)
+		eng2 := cloneSunk(eng, clk2)
 		scheduleFrom(clk2, eng2, reqs, cut)
 		clk2.Run()
 		if got := kvFingerprint(eng2); got != want {
-			t.Errorf("cut %v: restored != uninterrupted:\n restored %+v\n want     %+v", cut, got, want)
+			t.Errorf("cut %v: clone != uninterrupted:\n clone %+v\n want  %+v", cut, got, want)
 		}
 
 		clk.Run()
 		if got := kvFingerprint(eng); got != want {
-			t.Errorf("cut %v: snapshotting perturbed the source:\n got  %+v\n want %+v", cut, got, want)
+			t.Errorf("cut %v: cloning perturbed the source:\n got  %+v\n want %+v", cut, got, want)
 		}
 	}
 }
